@@ -14,21 +14,32 @@ variation density with respect to the Green's height h is
 
     pi e^{pi h} |Lp + L^2| / |L|^3.
 
-Rays are continued downwards in h Douady-Hubbard style: at height h pick
-the smallest depth n with e^{2^n pi h} above the squared escape radius,
-then Newton-solve  log B(P^n(z)) = 2^n pi h + i pi (2^n psi mod 2)  where
-B = 1/G is normalized to the identity at infinity and log B is summed by
-the same series (exact, so the height contract holds at every depth).
-The phase is reduced exactly with integer arithmetic, and the residual's
-imaginary part is wrapped to (-pi, pi] so no global branch is ever
-tracked.
+Rays are traced by self-similarity, P(gamma_psi(h)) = (-1)^{eps_1}
+gamma_{shift psi}(2h), which puts the ray point at height h on the ray of
+psi_n = 2^n psi mod 1 at height 2^n h.  For each scheduled h take the
+smallest depth n with e^{2^n pi h} above the squared escape radius,
+Newton-solve log B(W) = 2^n pi h + i pi psi_n at depth 0, where B = 1/G
+is normalized to the identity at infinity and log B is summed by the
+same series, and pull W back n times through the square-root branch in
+the upper half-plane:
+
+    z_k = the root with Im > 0 of (-1)^{eps_{k+1}} z_{k+1} + lam.
+
+The phase psi_n and the signs eps_k are exact integer arithmetic, so no
+branch is ever tracked, and the whole schedule is solved at once on
+arrays.  Each pullback contracts, so the points are as accurate as the
+top solve.  Near E0 the series value of g at a rounded point is
+ill-conditioned, so where it misses pi h the best of the point and its
+one-ulp neighbours is kept, and the height every sample carries is
+checked against the contract.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .angles import DirectionAngle
 from .dynamics import PolyParams, greens_value, preimages
@@ -37,11 +48,15 @@ from .errors import (DomainError, DyadicAngleError, NewtonDivergence,
 
 _MAX_DEPTH = 64
 _MIN_NEWTON_MODULUS = 100.0
+_NEWTON_STEPS = 60
+_HEIGHT_TOL = 1e-9        # README contract: |g(z)/pi - h| < 1e-9 on every sample
+_EPS = 2.2e-16
 
 
 @dataclass(frozen=True)
 class LogDerivData:
-    """Green's value with the log-derivative pair at one point."""
+    """Green's value with the log-derivative pair at one point (or, from
+    an array call of log_deriv_jet, arrays over the points)."""
 
     g: float
     L: complex
@@ -81,63 +96,118 @@ def compute_a(p: PolyParams) -> float:
     return greens_value(p, complex(p.lam)) / math.pi
 
 
-def log_deriv_jet(p: PolyParams, z: complex, tol: float = 1e-12) -> LogDerivData:
-    """(g, L, Lp) at an escaping point, by term-wise differentiated series.
+def log_deriv_jet(p: PolyParams, z, tol: float = 1e-12) -> LogDerivData:
+    """(g, L, Lp) at escaping points, by term-wise differentiated series.
+
+    z is one point or a 1-D array of points.  One point gives Python
+    numbers and raises where the data is undefined; an array gives a
+    LogDerivData of arrays over the points, with NaN fields at the points
+    where a single call would raise.
 
     L = -(1/z + sum 2^{-(k+1)} 2 lam (P^k)'(z) / (z_k z_{k+1})) since the
     series is the log-derivative of B = 1/G.  Each term is formed from the
-    forward jet, so no large-cancellation differences ever appear.
+    forward jet, so no large-cancellation differences ever appear.  Each
+    point stops summing once its iterate is past the escape radius and its
+    terms are below tol.
     """
     lam, xi = p.lam, p.xi
     R = p.escape_radius()
     snap = 1e-9 * xi
-    v = complex(z)
-    if abs(v) < 1e-150:
-        raise SingularSampleError("log-derivative data undefined at the critical point")
-    g = math.log(abs(v))
-    s = 1.0 / v
-    sp = -1.0 / (v * v)
-    d1 = 1.0 + 0.0j
-    d2 = 0.0 + 0.0j
+    z0 = np.atleast_1d(np.asarray(z, dtype=complex))
+    count = len(z0)
+    g = np.full(count, np.nan)
+    s = np.full(count, np.nan, dtype=complex)
+    sp = np.full(count, np.nan, dtype=complex)
+    depth = np.zeros(count, dtype=int)
+    # 0 ok, 1 critical point, 2 on E0, 3 precritical, 4 no convergence
+    fail = np.where(np.abs(z0) < 1e-150, 1, 0)
+
+    act = np.flatnonzero(fail == 0)
+    v = z0[act]
+    gg = np.log(np.abs(v))
+    ss = 1.0 / v
+    ssp = -1.0 / (v * v)
+    d1 = np.ones(len(act), dtype=complex)
+    d2 = np.zeros(len(act), dtype=complex)
     half = 0.5
-    depth = 0
-    for k in range(_MAX_DEPTH):
-        if abs(v - xi) <= snap or abs(v + xi) <= snap:
-            raise NonEscapingError(f"{z} is on (or numerically on) E0")
-        w = v * v - lam
-        if abs(w) < 1e-150 or abs(v) < 1e-150:
-            raise SingularSampleError(f"orbit of {z} hits a precritical point at depth {k}")
-        g += half * math.log(abs(1.0 - lam / (v * v)))
-        vw = v * w
-        term_s = half * 2.0 * lam * d1 / vw
-        term_sp = half * 2.0 * lam * (d2 / vw - d1 * d1 * (w + 2.0 * v * v) / (vw * vw))
-        s += term_s
-        sp += term_sp
-        depth = k + 1
-        if abs(v) > R and abs(term_s) <= tol * (1.0 + abs(s)) \
-                and abs(term_sp) <= tol * (1.0 + abs(sp)):
-            break
-        d2 = 2.0 * (d1 * d1 + v * d2)
-        d1 = 2.0 * v * d1
-        v = w
-        half *= 0.5
-    else:
-        raise NonEscapingError(
-            f"orbit of {z} did not converge the log-derivative series by depth {_MAX_DEPTH}")
+    with np.errstate(all="ignore"):
+        for k in range(_MAX_DEPTH):
+            if not act.size:
+                break
+            on_e0 = (np.abs(v - xi) <= snap) | (np.abs(v + xi) <= snap)
+            vv = v * v
+            w = vv - lam
+            precrit = ~on_e0 & (np.abs(w) < 1e-150)
+            gg = gg + half * np.log(np.abs(1.0 - lam / vv))
+            vw = v * w
+            term_s = half * 2.0 * lam * d1 / vw
+            term_sp = half * 2.0 * lam * (d2 / vw - d1 * d1 * (w + 2.0 * vv) / (vw * vw))
+            ss = ss + term_s
+            ssp = ssp + term_sp
+            done = ((np.abs(v) > R) & (np.abs(term_s) <= tol * (1.0 + np.abs(ss)))
+                    & (np.abs(term_sp) <= tol * (1.0 + np.abs(ssp))))
+            fail[act[on_e0]] = 2
+            fail[act[precrit]] = 3
+            depth[act[on_e0 | precrit]] = k
+            ok = done & ~on_e0 & ~precrit
+            i = act[ok]
+            g[i], s[i], sp[i], depth[i] = gg[ok], ss[ok], ssp[ok], k + 1
+            keep = ~(done | on_e0 | precrit)
+            act, v, w, d1, d2 = act[keep], v[keep], w[keep], d1[keep], d2[keep]
+            gg, ss, ssp = gg[keep], ss[keep], ssp[keep]
+            d2 = 2.0 * (d1 * d1 + v * d2)
+            d1 = 2.0 * v * d1
+            v = w
+            half *= 0.5
+        fail[act] = 4
+
+    if np.ndim(z) == 0:
+        pt = complex(z)
+        if fail[0] == 1:
+            raise SingularSampleError("log-derivative data undefined at the critical point")
+        if fail[0] == 2:
+            raise NonEscapingError(f"{pt} is on (or numerically on) E0")
+        if fail[0] == 3:
+            raise SingularSampleError(
+                f"orbit of {pt} hits a precritical point at depth {depth[0]}")
+        if fail[0] == 4:
+            raise NonEscapingError(
+                f"orbit of {pt} did not converge the log-derivative series by depth {_MAX_DEPTH}")
+        return LogDerivData(g=float(g[0]), L=complex(-s[0]), Lp=complex(-sp[0]),
+                            depth=int(depth[0]))
     return LogDerivData(g=g, L=-s, Lp=-sp, depth=depth)
 
 
-def ray_integrand(p: PolyParams, sample: RaySample) -> float:
+def stack_samples(samples) -> RaySample:
+    """A sequence of ray samples as one RaySample whose fields are arrays."""
+    return RaySample(
+        h=np.array([s.h for s in samples], dtype=float),
+        z=np.array([s.z for s in samples], dtype=complex),
+        data=LogDerivData(g=np.array([s.data.g for s in samples], dtype=float),
+                          L=np.array([s.data.L for s in samples], dtype=complex),
+                          Lp=np.array([s.data.Lp for s in samples], dtype=complex),
+                          depth=np.array([s.data.depth for s in samples], dtype=int)))
+
+
+def ray_integrand(p: PolyParams, sample: RaySample):
     """Density of the radial-variation integral with respect to dh.
 
     |T''| |dw| = (|G''|/|G'|^2) |dz|, |G''|/|G'|^2 = e^g |Lp+L^2| / |L|^2,
     and |dz/dh| = pi / |L| along the ray, giving pi e^{pi h} |Lp+L^2|/|L|^3.
+    One sample gives a float; a sample of arrays (stack_samples) gives an
+    array, and its first singular entry raises.
     """
-    L = sample.data.L
-    if abs(L) < 1e-14:
+    h = np.asarray(sample.h)
+    L = np.asarray(sample.data.L)
+    abs_L = np.abs(L)
+    singular = np.flatnonzero(abs_L < 1e-14)
+    if singular.size:
+        i = singular[0]
         raise SingularSampleError(
-            f"|L| = {abs(L):.3e} at h = {sample.h}: sample too close to a critical point")
-    return math.pi * math.exp(math.pi * sample.h) * abs(sample.data.second_ratio()) / abs(L) ** 3
+            f"|L| = {abs_L.flat[i]:.3e} at h = {h.flat[i]}: "
+            "sample too close to a critical point")
+    dens = np.pi * np.exp(np.pi * h) * np.abs(sample.data.Lp + L * L) / abs_L ** 3
+    return float(dens) if dens.ndim == 0 else dens
 
 
 def angle_double_fold(angle: DirectionAngle) -> tuple[DirectionAngle, bool]:
@@ -153,38 +223,26 @@ def angle_double_fold(angle: DirectionAngle) -> tuple[DirectionAngle, bool]:
     return angle.shift(), angle.bit(1) == 1
 
 
-def _log_boettcher(lam: float, z: complex, need_deriv: bool = True,
-                   tol: float = 1e-15):
-    """log B(z) (principal per-term branches) and B'/B at an already-large z.
-
-    Requires |lam / z^2| < 1/2 so every Log(1 - lam/z_k^2) stays on the
-    principal branch; callers guarantee largeness.
-    """
-    v = z
-    if abs(lam) / abs(v * v) >= 0.5:
-        raise ValueError("point not large enough for the Boettcher log series")
-    ell = cmath.log(v)
-    s = 1.0 / v if need_deriv else 0.0
-    d1 = 1.0 + 0.0j
+def _log_boettcher(lam: float, w, tol: float = 1e-15):
+    """log B(w) (principal per-term branches) and B'/B over an array of
+    large points; callers guarantee |lam / w^2| well below 1/2 so every
+    Log(1 - lam/w_k^2) stays on the principal branch."""
+    v = w
+    ell = np.log(v)
+    s = 1.0 / v
+    d1 = np.ones_like(v)
     half = 0.5
     for _ in range(48):
-        w = v * v - lam
-        q = lam / (v * v)
-        term = half * cmath.log(1.0 - q)
-        ell += term
-        if need_deriv:
-            s += half * 2.0 * lam * d1 / (v * w)
-            d1 = 2.0 * v * d1
-        if abs(term) < tol:
+        vv = v * v
+        term = half * np.log(1.0 - lam / vv)
+        ell = ell + term
+        s = s + half * 2.0 * lam * d1 / (v * (vv - lam))
+        if not np.abs(term).max(initial=0.0) >= tol:
             break
-        v = w
+        d1 = 2.0 * v * d1
+        v = vv - lam
         half *= 0.5
     return ell, s
-
-
-def _wrap_pi(x: float) -> float:
-    """Reduce to (-pi, pi]."""
-    return math.remainder(x, math.tau)
 
 
 def default_heights(p: PolyParams, scales: int, per_scale: int = 16,
@@ -195,85 +253,103 @@ def default_heights(p: PolyParams, scales: int, per_scale: int = 16,
     return [h_top * 2.0 ** (-j / per_scale) for j in range(scales * per_scale + 1)]
 
 
-def _newton_depth(h: float, log_r: float) -> int:
-    """Smallest n >= 0 with 2^n pi h > log_r."""
-    n = 0
-    x = math.pi * h
-    while x <= log_r:
-        x *= 2.0
-        n += 1
-        if n > 200:
-            raise DomainError(f"height {h} too small for ray continuation")
+def _newton_depth(h, log_r: float):
+    """Smallest n >= 0 with 2^n pi h > log_r, for each height of an array."""
+    ratio = log_r / (np.pi * np.asarray(h, dtype=float))
+    n = np.maximum(np.frexp(ratio)[1], 0)
+    if not np.isfinite(ratio).all() or n.max(initial=0) > 200:
+        raise DomainError(f"height {np.min(h)} too small for ray continuation")
     return n
 
 
-def _solve_height(p: PolyParams, angle: DirectionAngle, h: float, seed: complex,
-                  log_r: float, newton_tol: float, max_backtracks: int):
-    """One Newton solve of the ray equation at height h, seeded nearby."""
-    lam = p.lam
-    q = angle.denominator
+def _series_height_error(lam: float, z: np.ndarray, n: np.ndarray, h: np.ndarray):
+    """g(z)/pi - h at points z of nondecreasing depth n, with g summed as
+    2^-n Re log B(P^n(z)) and P^n iterated as the log-derivative series does."""
+    v = z.copy()
+    for k in range(int(n.max(initial=0))):
+        start = np.searchsorted(n, k, side="right")
+        v[start:] = v[start:] * v[start:] - lam
+    ell, _ = _log_boettcher(lam, v)
+    return np.ldexp(ell.real, -n) / np.pi - h
+
+
+def _polish(lam: float, z: np.ndarray, n: np.ndarray, h: np.ndarray):
+    """Move each point whose series height misses h by a tenth of the
+    contract or more to whichever of it and its eight one-ulp neighbours
+    misses least.  Near E0 the series height of a rounded point is
+    ill-conditioned, so neighbours within rounding of the same ray point
+    can differ in it by more than the contract."""
+    miss = np.flatnonzero(~(np.abs(_series_height_error(lam, z, n, h)) < _HEIGHT_TOL / 10))
+    if not miss.size:
+        return z
+    re, im = z[miss].real[:, None], z[miss].imag[:, None]
+    a, b = np.repeat([-1.0, 0.0, 1.0], 3), np.tile([-1.0, 0.0, 1.0], 3)
+    cands = (re + a * np.spacing(np.abs(re))) + 1j * (im + b * np.spacing(np.abs(im)))
+    err = np.abs(_series_height_error(lam, cands.ravel(), np.repeat(n[miss], 9),
+                                      np.repeat(h[miss], 9))).reshape(cands.shape)
+    best = np.argmin(np.where(np.isnan(err), np.inf, err), axis=1)
+    z[miss] = cands[np.arange(miss.size), best]
+    return z
+
+
+def _ray_points(p: PolyParams, angle: DirectionAngle, h: np.ndarray,
+                log_r: float, newton_tol: float):
+    """Ray points at the decreasing heights h, and whether each top solve
+    converged: W on the ray of psi_n at height 2^n h from depth 0, pulled
+    back n times through the upper-half-plane square-root branch."""
+    lam, q = p.lam, angle.denominator
     n = _newton_depth(h, log_r)
-    target_mod = float(2 ** n) * math.pi * h
-    num = (pow(2, n, 2 * q) * angle.numerator) % (2 * q)
-    target_arg = math.pi * (num / q)
-    # forward squaring amplifies log-space rounding by 2^n; the residual
-    # floor scales with it while the height error 2^-n phi does not
-    tol_eff = max(newton_tol, float(2 ** n) * 5e-14)
+    depths, which = np.unique(n, return_inverse=True)
+    phase = np.array([(pow(2, int(d), q) * angle.numerator) % q / q for d in depths])
+    target = np.ldexp(np.pi * h, n) + 1j * np.pi * phase[which]
 
-    def residual(zz):
-        v = zz
-        d = 1.0 + 0.0j
-        for _ in range(n):
-            if abs(v) > 1e140:
-                return None
-            d = 2.0 * v * d
-            v = v * v - lam
-        if abs(v * v) <= 2.0 * abs(lam) + 4.0:
-            return None
-        try:
-            ell, s = _log_boettcher(lam, v)
-        except ValueError:
-            return None
-        phi = complex(ell.real - target_mod, _wrap_pi(ell.imag - target_arg))
-        return phi, s * d
-
-    z = seed
-    res = residual(z)
-    if res is None:
-        raise NewtonDivergence(f"seed for h={h} lies outside the series domain")
-    phi, dphi = res
-    for _ in range(60):
-        if abs(phi) < tol_eff:
-            return z
-        step = -phi / dphi
-        if abs(step) <= 8.0 * 2.2e-16 * abs(z):
-            # z converged to its representation quantum: the residual floor
-            # |dphi| ulp(z) is unreachable but z is as exact as doubles allow
-            return z
-        scale = 1.0
-        for _ in range(max_backtracks):
-            trial = z + scale * step
-            res = residual(trial)
-            if res is not None and abs(res[0]) < abs(phi):
-                z, (phi, dphi) = trial, res
+    w = np.exp(target)
+    done = np.zeros(len(h), dtype=bool)
+    with np.errstate(all="ignore"):
+        for _ in range(_NEWTON_STEPS):
+            ell, dell = _log_boettcher(lam, w)
+            phi = ell - target
+            phi.imag = np.remainder(phi.imag + np.pi, 2.0 * np.pi) - np.pi
+            step = phi / dell
+            w = np.where(done, w, w - step)
+            # the step just taken squares the error, so a point is done once
+            # its residual was below newton_tol or its step below the
+            # representation quantum of w, where the residual floor
+            # |dphi| ulp(w) may sit above newton_tol
+            done |= (np.abs(phi) < newton_tol) | (np.abs(step) <= 8.0 * _EPS * np.abs(w))
+            if done.all():
                 break
-            scale *= 0.5
-        else:
-            raise NewtonDivergence(
-                f"Newton stalled at h={h} with residual {abs(phi):.3e}")
-    raise NewtonDivergence(f"Newton did not reach tolerance at h={h}")
+
+        # n is nondecreasing along the schedule, so the points still being
+        # pulled back at depth k are a suffix of the array
+        z = w
+        for k in range(int(n.max(initial=0)) - 1, -1, -1):
+            start = np.searchsorted(n, k, side="right")
+            sign = -1.0 if angle.bit(k + 1) else 1.0
+            root = np.sqrt(sign * z[start:] + lam)
+            np.negative(root, out=root, where=root.imag < 0)
+            z[start:] = root
+        z = _polish(lam, z, n, h)
+    return z, done
 
 
 def trace_ray(p: PolyParams, angle: DirectionAngle, h_schedule,
               newton_tol: float = 1e-13, series_tol: float = 1e-12,
               max_backtracks: int = 40, arc_bound: float | None = None,
               tip_margin: float = 1e-3) -> ExternalRay:
-    """Continue the external ray at the given angle down the height schedule.
+    """External ray at the given angle at every height of the schedule.
 
     Non-dyadic angles run to the smallest scheduled height.  Dyadic angles
     stop at the slit tip a/2^m: scheduled heights at or below the tip are
     dropped and the precritical tip point P^{-(m-1)}(0) (branch nearest
     the last sample) is reported as TipInfo.
+
+    Every sample carries its Green's height: at the first sample whose
+    series value misses |g/pi - h| < 1e-9, or whose depth-0 solve misses
+    newton_tol, NewtonDivergence is raised with the samples before it as
+    `partial`.  arc_bound caps the jump between consecutive points.
+    max_backtracks is accepted for compatibility and unused: the depth-0
+    solve starts inside its Newton basin.
     """
     heights = [float(h) for h in h_schedule]
     if not heights:
@@ -285,53 +361,48 @@ def trace_ray(p: PolyParams, angle: DirectionAngle, h_schedule,
     log_r = math.log(r_big)
 
     tip_h = None
-    if angle.is_dyadic:
-        if p.a <= 0:
-            tip_h = None  # degenerate comb: no slits, dyadic rays reach any h > 0
-        else:
-            m = angle.dyadic_level
-            tip_h = p.a / 2.0 ** m
-            heights = [h for h in heights if h > tip_h * (1.0 + tip_margin)]
-
-    # lead-in from a self-seeding start height where depth 0 suffices
-    work: list[tuple[float, bool]] = []
-    top = heights[0] if heights else (tip_h * (1.0 + tip_margin) if tip_h else None)
-    if top is None:
-        raise DomainError("schedule lies entirely below the slit tip")
-    h_lead = 1.1 * log_r / math.pi
-    if top < h_lead:
-        n_lead = max(2, int(16 * math.log2(h_lead / top)) + 1)
-        for j in range(n_lead):
-            h = h_lead * (top / h_lead) ** (j / n_lead)
-            work.append((h, False))
-    work.extend((h, True) for h in heights)
+    if angle.is_dyadic and p.a > 0:   # degenerate comb: no slits, no tips
+        tip_h = p.a / 2.0 ** angle.dyadic_level
+        heights = [h for h in heights if h > tip_h * (1.0 + tip_margin)]
+    points = list(heights)
     if tip_h is not None:
         # unscheduled helper point just above the tip guides branch selection
         h_help = tip_h * (1.0 + tip_margin)
         if not heights or heights[-1] > h_help * (1.0 + 1e-9):
-            work.append((h_help, False))
+            points.append(h_help)
 
-    samples: list[RaySample] = []
-    z = None
-    z_prev = None
-    for h, scheduled in work:
-        if z is None:
-            # first work height is always above the lead height, so depth 0
-            # applies and B ~ identity makes exp(M + i alpha) an exact seed
-            z = cmath.exp(complex(math.pi * h, math.pi * angle.value))
-        try:
-            z = _solve_height(p, angle, h, z, log_r, newton_tol, max_backtracks)
-        except NewtonDivergence as exc:
-            exc.last_sample = samples[-1] if samples else None
-            exc.partial = ExternalRay(angle=angle, samples=tuple(samples),
-                                      termination="hmin", tip=None)
-            raise
-        if arc_bound is not None and z_prev is not None and abs(z - z_prev) > arc_bound:
+    h = np.array(points)
+    z, converged = _ray_points(p, angle, h, log_r, newton_tol)
+    stop = int(np.argmin(converged)) if not converged.all() else len(h)
+    data = log_deriv_jet(p, z[:stop], series_tol)
+    height_err = np.abs(data.g / np.pi - h[:stop])
+    broken = np.flatnonzero(~(height_err < _HEIGHT_TOL))
+    if broken.size:
+        stop = int(broken[0])
+    if arc_bound is not None:
+        jumps = np.flatnonzero(np.abs(np.diff(z[:stop])) > arc_bound)
+        if jumps.size:
+            i = int(jumps[0]) + 1
             raise ScheduleTooCoarse(
-                f"sample jump {abs(z - z_prev):.3e} exceeds arc bound {arc_bound:.3e}")
-        z_prev = z
-        if scheduled:
-            samples.append(RaySample(h=h, z=z, data=log_deriv_jet(p, z, series_tol)))
+                f"sample jump {abs(z[i] - z[i - 1]):.3e} exceeds arc bound {arc_bound:.3e}")
+
+    kept = min(stop, len(heights))
+    samples = tuple(
+        RaySample(h=hh, z=zz, data=LogDerivData(g=gg, L=ll, Lp=lp, depth=dd))
+        for hh, zz, gg, ll, lp, dd in zip(
+            heights[:kept], z[:kept].tolist(), data.g[:kept].tolist(),
+            data.L[:kept].tolist(), data.Lp[:kept].tolist(), data.depth[:kept].tolist()))
+    if stop < len(h):
+        if stop == len(height_err):
+            reason = f"depth-0 Newton solve did not reach tolerance at h={h[stop]}"
+        elif math.isnan(height_err[stop]):
+            reason = f"no Green's data at h={h[stop]}: the point is on E0 or precritical"
+        else:
+            reason = (f"height contract broken at h={h[stop]}: "
+                      f"|g/pi - h| = {height_err[stop]:.3e} >= {_HEIGHT_TOL:g}")
+        raise NewtonDivergence(
+            reason, last_sample=samples[-1] if samples else None,
+            partial=ExternalRay(angle=angle, samples=samples, termination="hmin"))
 
     tip = None
     termination = "hmin"
@@ -340,12 +411,11 @@ def trace_ray(p: PolyParams, angle: DirectionAngle, h_schedule,
         if m == 1:
             tip_point = 0.0 + 0.0j
         else:
-            cands = preimages(p, 0.0j, m - 1)
-            tip_point = min(cands, key=lambda c: abs(c - z_prev))
+            last = complex(z[-1])
+            tip_point = min(preimages(p, 0.0j, m - 1), key=lambda c: abs(c - last))
         tip = TipInfo(point=tip_point, height=tip_h)
         termination = "tip"
-    return ExternalRay(angle=angle, samples=tuple(samples),
-                       termination=termination, tip=tip)
+    return ExternalRay(angle=angle, samples=samples, termination=termination, tip=tip)
 
 
 RAY_CSV_COLUMNS = ("h", "re_z", "im_z", "g", "re_L", "im_L", "density")
@@ -354,7 +424,7 @@ RAY_CSV_COLUMNS = ("h", "re_z", "im_z", "g", "re_L", "im_L", "density")
 def ray_csv_rows(p: PolyParams, ray: ExternalRay):
     """Yield the wire-format rows (header first) for a traced ray."""
     yield RAY_CSV_COLUMNS
-    for s in ray.samples:
+    density = ray_integrand(p, stack_samples(ray.samples)).tolist()
+    for s, dens in zip(ray.samples, density):
         yield (repr(s.h), repr(s.z.real), repr(s.z.imag), repr(s.data.g),
-               repr(s.data.L.real), repr(s.data.L.imag),
-               repr(ray_integrand(p, s)))
+               repr(s.data.L.real), repr(s.data.L.imag), repr(dens))

@@ -2,7 +2,8 @@
 generation, radial-variation batches, verification suites and SVG plots.
 
 Exit codes: 0 ok, 2 domain error, 3 dyadic-tip info, 4 resource cap,
-64 usage error.
+5 partial result (a ray that broke off: the samples before the break are
+written), 64 usage error.
 """
 
 from __future__ import annotations
@@ -12,19 +13,19 @@ import csv
 import json
 import sys
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import boettcher, goodset, poincare, radvar, svg, verify
 from .angles import DirectionAngle
 from .dynamics import derive_params
-from .errors import CapExceeded, DomainError, ToolkitError
+from .errors import CapExceeded, DomainError, NewtonDivergence, ToolkitError
 
 EXIT_OK = 0
 EXIT_DOMAIN = 2
 EXIT_TIP = 3
 EXIT_CAP = 4
+EXIT_PARTIAL = 5
 EXIT_USAGE = 64
 
 _KNOWN_TOLS = {"greens": 1e-12, "newton": 1e-13, "poincare": 1e-12,
@@ -37,7 +38,6 @@ class RunConfig:
     tolerances: dict = field(default_factory=lambda: dict(_KNOWN_TOLS))
     out: Path | None = None
     fmt: str = "json"
-    jobs: int = 1
 
 
 class _Parser(argparse.ArgumentParser):
@@ -76,7 +76,6 @@ def _config_from(args) -> RunConfig:
         cfg.tolerances[key] = fval
     cfg.out = Path(args.out) if args.out else None
     cfg.fmt = args.format
-    cfg.jobs = max(1, args.jobs)
     return cfg
 
 
@@ -107,6 +106,7 @@ def cmd_params(args) -> int:
 
 def cmd_ray(args) -> int:
     cfg = _config_from(args)
+    status = EXIT_OK
     try:
         p = derive_params(cfg.lam)
         angle = DirectionAngle.parse(args.psi)
@@ -117,6 +117,11 @@ def cmd_ray(args) -> int:
     except DomainError as exc:
         print(f"greenjulia ray: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
+    except NewtonDivergence as exc:
+        ray = exc.partial
+        print(f"greenjulia ray: {exc}; writing the {len(ray.samples)} "
+              f"samples above it", file=sys.stderr)
+        status = EXIT_PARTIAL
 
     csv_path = Path(args.csv) if args.csv else None
     svg_path = Path(args.svg) if args.svg else None
@@ -144,7 +149,7 @@ def cmd_ray(args) -> int:
         print(f"dyadic angle {angle}: ray terminates at slit tip "
               f"z = {tip.point:.6g} at height {tip.height:.12g}")
         return EXIT_TIP
-    return EXIT_OK
+    return status
 
 
 def cmd_comb(args) -> int:
@@ -232,6 +237,7 @@ def cmd_radvar(args) -> int:
     cfg = _config_from(args)
     try:
         p = derive_params(cfg.lam)
+        radvar.check_comb(p)
     except DomainError as exc:
         print(f"greenjulia radvar: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
@@ -252,14 +258,8 @@ def cmd_radvar(args) -> int:
             return radvar.DirectionRow(angle=angle, report=None,
                                        error=f"{type(exc).__name__}: {exc}")
 
-    if cfg.jobs > 1 and len(angles) > 1:
-        with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            rows = list(pool.map(one, angles))
-    else:
-        rows = [one(a) for a in angles]
-
     index = []
-    for row in rows:
+    for row in map(one, angles):
         name = f"radvar_{row.angle.numerator}_{row.angle.denominator}"
         if row.report is None:
             index.append({"psi": str(row.angle), "status": row.error})
@@ -303,7 +303,6 @@ def build_parser() -> _Parser:
     common.add_argument("--out", help="output directory")
     common.add_argument("--format", choices=("json", "csv", "svg"),
                         default="json")
-    common.add_argument("--jobs", type=int, default=1)
 
     ap = _Parser(prog="greenjulia",
                  description="Green's data, external rays and radial "

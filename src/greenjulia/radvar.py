@@ -25,7 +25,7 @@ import warnings
 from dataclasses import dataclass
 
 from .angles import DirectionAngle
-from .boettcher import ray_integrand, trace_ray
+from .boettcher import ray_integrand, stack_samples, trace_ray
 from .dynamics import PolyParams
 from .errors import (AmbiguousBranch, DomainError, DyadicAngleError,
                      NewtonDivergence, ToolkitError)
@@ -65,17 +65,16 @@ class RadVarReport:
 def _simpson(vals, dt):
     if len(vals) % 2 == 0:
         raise ValueError("Simpson needs an odd number of nodes")
-    acc = vals[0] + vals[-1]
-    acc += 4.0 * sum(vals[1:-1:2])
-    acc += 2.0 * sum(vals[2:-2:2])
-    return acc * dt / 3.0
+    acc = vals[0] + vals[-1] + 4.0 * vals[1:-1:2].sum() + 2.0 * vals[2:-2:2].sum()
+    return float(acc * dt / 3.0)
 
 
 def _scale_from_samples(p, samples, n, h_hi):
     """Simpson value of one scale from its K+1 geometric ray samples."""
     k = len(samples) - 1
+    batch = stack_samples(samples)
     # integrate in t with h = h_hi 2^{-t}: dh = -ln2 h dt
-    vals = [ray_integrand(p, s) * s.h * math.log(2.0) for s in samples]
+    vals = ray_integrand(p, batch) * batch.h * math.log(2.0)
     fine = _simpson(vals, 1.0 / k)
     coarse = _simpson(vals[::2], 2.0 / k)
     return ScaleContribution(n=n, h_lo=h_hi / 2.0, h_hi=h_hi, s_n=fine,
@@ -83,7 +82,15 @@ def _scale_from_samples(p, samples, n, h_hi):
                              quad_error_est=abs(fine - coarse) / 15.0)
 
 
+def check_comb(p: PolyParams):
+    """Radial variation lives on the heights (0, a]: reject a = 0 (lambda = 2)."""
+    if not p.a > 0:
+        raise DomainError(f"radial variation needs a > 0; lambda = {p.lam} "
+                          f"gives a = {p.a}")
+
+
 def _check_angle(p, angle):
+    check_comb(p)
     if angle.is_dyadic:
         raise DyadicAngleError(
             f"radial variation undefined for dyadic angle {angle} (ray hits a slit tip)")

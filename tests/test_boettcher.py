@@ -13,14 +13,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from greenjulia.angles import DirectionAngle
 from greenjulia.boettcher import (angle_double_fold, compute_a,
                                   default_heights, log_deriv_jet,
-                                  ray_csv_rows, ray_integrand, trace_ray)
+                                  ray_csv_rows, ray_integrand, stack_samples,
+                                  trace_ray)
 from greenjulia.dynamics import derive_params, greens_value, julia_cover
-from greenjulia.errors import (DyadicAngleError, NonEscapingError,
-                               ScheduleTooCoarse)
+from greenjulia.errors import (DyadicAngleError, NewtonDivergence,
+                               NonEscapingError, ScheduleTooCoarse)
 from greenjulia.goodset import membership
 
 
@@ -114,6 +117,27 @@ def test_log_deriv_rejects_julia_points():
     p = derive_params(6.0)
     with pytest.raises(NonEscapingError):
         log_deriv_jet(p, complex(p.xi))
+
+
+def test_log_deriv_array_matches_single_points():
+    p = derive_params(6.0)
+    pts = np.array([4.0 + 0j, 2.0 + 1.5j, -0.3 + 0.01j, 30.0 - 7.0j])
+    batch = log_deriv_jet(p, pts)
+    for k, z in enumerate(pts):
+        d = log_deriv_jet(p, complex(z))
+        assert isinstance(d.g, float) and isinstance(d.L, complex)
+        # vector and scalar ufunc loops may round differently in the last bit
+        assert abs(batch.g[k] - d.g) <= 1e-15 * abs(d.g)
+        assert abs(batch.L[k] - d.L) <= 1e-15 * abs(d.L)
+        assert abs(batch.Lp[k] - d.Lp) <= 1e-15 * abs(d.Lp)
+        assert batch.depth[k] == d.depth
+
+
+def test_log_deriv_array_marks_undefined_points_nan():
+    p = derive_params(6.0)
+    batch = log_deriv_jet(p, np.array([4.0 + 0j, complex(p.xi), 0j]))
+    assert math.isfinite(batch.g[0])
+    assert np.isnan(batch.g[1:]).all() and np.isnan(batch.L[1:]).all()
 
 
 def test_ray_heights_reproduced_by_greens_series():
@@ -254,6 +278,17 @@ def test_density_mirror_invariance():
             1.0, ray_integrand(p, a))
 
 
+def test_density_array_matches_single_samples():
+    p = derive_params(6.0)
+    ray = trace_ray(p, DirectionAngle(3, 7), default_heights(p, 3))
+    dens = ray_integrand(p, stack_samples(ray.samples))
+    assert dens.shape == (len(ray.samples),)
+    for s, d in zip(ray.samples, dens):
+        single = ray_integrand(p, s)
+        assert isinstance(single, float)
+        assert abs(single - d) <= 1e-15 * single
+
+
 def test_density_finite_down_the_ray():
     p = derive_params(6.0)
     ray = trace_ray(p, DirectionAngle(2, 3), default_heights(p, 12))
@@ -283,6 +318,61 @@ def test_ray_heights_across_lambda_extremes():
         ray = trace_ray(p, DirectionAngle(2, 3), default_heights(p, 3))
         for s in ray.samples:
             assert abs(greens_value(p, s.z) / math.pi - s.h) < 1e-9
+
+
+def test_ray_chebyshev_closed_form_deep():
+    # lambda = 2: B^{-1}(w) = w + 1/w, so gamma_psi(h) = 2 cosh(pi h + i pi psi)
+    p = derive_params(2.0)
+    hs = [2.0 ** (-j / 4) for j in range(30 * 4 + 1)]
+    for pq in ((2, 3), (3, 7), (5, 11), (11, 31)):
+        ang = DirectionAngle(*pq)
+        ray = trace_ray(p, ang, hs)
+        assert len(ray.samples) == len(hs)
+        for s in ray.samples:
+            exact = 2.0 * cmath.cosh(complex(math.pi * s.h, math.pi * ang.value))
+            assert abs(s.z - exact) <= 1e-12 * abs(exact)
+
+
+def _rays_or_partial(p, ang, hs):
+    try:
+        return trace_ray(p, ang, hs).samples
+    except NewtonDivergence as exc:
+        return exc.partial.samples
+
+
+@settings(max_examples=40, deadline=None)
+@given(q=st.integers(3, 4095), p_frac=st.floats(0.0, 1.0),
+       lam=st.floats(3.5, 100.0))
+def test_ray_mirror_and_contract_property(q, p_frac, lam):
+    num = min(q - 1, 1 + int(p_frac * (q - 1)))
+    ang = DirectionAngle(num, q)
+    if ang.is_dyadic:
+        return
+    p = derive_params(lam)
+    hs = default_heights(p, 10, 8)
+    ray = _rays_or_partial(p, ang, hs)
+    mirror = _rays_or_partial(p, ang.complement(), hs)
+    for a, b in zip(ray, mirror):
+        assert abs(b.z - (-a.z.conjugate())) <= 1e-12 * abs(a.z)
+    for s in ray + mirror:
+        assert abs(s.data.g / math.pi - s.h) < 1e-9
+        # the scalar series rounds differently; near E0 that moves g by up
+        # to half of |L| ulp(z) (measured), which the bound admits
+        spread = abs(s.data.L) * 2.2e-16 * abs(s.z) / math.pi
+        assert abs(greens_value(p, s.z) / math.pi - s.h) < 1e-9 + spread
+
+
+def test_ray_large_lambda_breaks_loudly():
+    # lambda = 1e4: the pulled-back points are exact to rounding, but g at
+    # the rounded points misses h; the ray stops with its good samples
+    p = derive_params(1e4)
+    with pytest.raises(NewtonDivergence) as info:
+        trace_ray(p, DirectionAngle(2, 3), default_heights(p, 16))
+    partial = info.value.partial.samples
+    assert 0 < len(partial) < 16 * 16 + 1
+    assert info.value.last_sample == partial[-1]
+    for s in partial:
+        assert abs(greens_value(p, s.z) / math.pi - s.h) < 1e-9
 
 
 def test_density_singular_near_critical_point():

@@ -8,7 +8,7 @@ import xml.etree.ElementTree as ET
 from greenjulia.cli import main
 
 # exit codes are part of the interface contract
-OK, DOMAIN, TIP, CAP, USAGE = 0, 2, 3, 4, 64
+OK, DOMAIN, TIP, CAP, PARTIAL, USAGE = 0, 2, 3, 4, 5, 64
 
 
 def test_params_json(capsys):
@@ -69,6 +69,26 @@ def test_ray_svg_well_formed(tmp_path, capsys):
             and e.get("class") == "ray"]
     assert len(rays) == 1
     assert [e for e in root.iter() if e.get("class") == "julia"]
+
+
+def test_ray_partial_exit_writes_samples_before_the_break(tmp_path, capsys):
+    # at lambda = 20 the height contract breaks before a/2^24: exit 5 with
+    # the samples above the break, each of which meets the contract
+    from greenjulia.dynamics import derive_params, greens_value
+    out = tmp_path / "ray.csv"
+    rc = main(["ray", "--lambda", "20", "--psi", "5/7", "--scales", "24",
+               "--per-scale", "32", "--csv", str(out)])
+    assert rc == PARTIAL
+    err = capsys.readouterr().err
+    assert "height contract" in err
+    with open(out, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0][0] == "h"
+    assert 0 < len(rows) - 1 < 24 * 32 + 1
+    p = derive_params(20.0)
+    for row in rows[1:]:
+        z = complex(float(row[1]), float(row[2]))
+        assert abs(greens_value(p, z) / math.pi - float(row[0])) < 1e-9
 
 
 def test_comb_json(tmp_path, capsys):
@@ -140,10 +160,16 @@ def test_radvar_error_row_isolated(tmp_path, capsys):
     assert index["2/3"]["status"] == "ok"
 
 
-def test_radvar_jobs_flag(tmp_path, capsys):
-    assert main(["radvar", "--lambda", "6", "--psi", "2/3", "--psi", "3/7",
-                 "--nmax", "6", "--jobs", "2", "--out", str(tmp_path)]) == OK
-    assert (tmp_path / "radvar_3_7.json").exists()
+def test_radvar_lambda_2_is_a_domain_error(tmp_path, capsys):
+    # a = 0 at lambda = 2 leaves no heights to integrate over
+    assert main(["radvar", "--lambda", "2", "--psi", "2/3", "--nmax", "4",
+                 "--out", str(tmp_path)]) == DOMAIN
+    assert "a > 0" in capsys.readouterr().err
+    assert not (tmp_path / "index.json").exists()
+
+
+def test_jobs_flag_removed(capsys):
+    assert main(["radvar", "--psi", "2/3", "--jobs", "2"]) == USAGE
 
 
 def test_radvar_decay_svg(tmp_path, capsys):

@@ -57,6 +57,15 @@ def test_radial_variation_rejects_dyadic():
         radial_variation(P6, DirectionAngle(1, 2), 8)
 
 
+def test_radial_variation_needs_positive_a():
+    # lambda = 2 has a = 0: refused up front, not as a bad schedule
+    p2 = derive_params(2.0)
+    with pytest.raises(DomainError, match="a > 0"):
+        radial_variation(p2, PSI, 4)
+    with pytest.raises(DomainError, match="a > 0"):
+        scale_contribution(p2, PSI, 0)
+
+
 def test_windowed_decay_for_good_angles():
     # per-scale ratios of period-q angles oscillate with the shift orbit,
     # but five-scale windows decay uniformly
