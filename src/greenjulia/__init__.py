@@ -9,7 +9,7 @@ from .dynamics import (IntervalCover, Jet2, PolyParams, critical_orbit,
                        derive_params, greens_value, iterate_jet, julia_cover,
                        preimages)
 from .goodset import (DyadicCoverLevel, dimension_bound, generate_cover,
-                      membership, shift)
+                      membership)
 from .poincare import (CombSlit, RealLandmarks, comb_height, invert_F_branch,
                        landmarks, poincare_jet, selfsim_greens_residual)
 from .radvar import (QuadSettings, RadVarReport, ScaleContribution,
@@ -26,6 +26,6 @@ __all__ = [
     "greens_value", "julia_cover", "compute_a", "log_deriv_jet", "trace_ray",
     "angle_double_fold", "ray_integrand", "poincare_jet", "comb_height",
     "landmarks", "invert_F_branch", "selfsim_greens_residual", "membership",
-    "shift", "generate_cover", "dimension_bound", "scale_contribution",
+    "generate_cover", "dimension_bound", "scale_contribution",
     "radial_variation", "pullback_check", "compare_directions",
 ]

@@ -202,9 +202,8 @@ def cmd_goodset(args) -> int:
     except CapExceeded as exc:
         print(f"greenjulia goodset: {exc}", file=sys.stderr)
         return EXIT_CAP
-    payload = goodset.cover_to_dict(level, args.N)
-    _emit(_jdump(payload), cfg.out / f"cover_N{args.N}_k{args.k}.json"
-          if cfg.out else None)
+    _emit(goodset.cover_json(level, args.N),
+          cfg.out / f"cover_N{args.N}_k{args.k}.json" if cfg.out else None)
     return EXIT_OK
 
 

@@ -83,11 +83,11 @@ class IntervalCover:
 
 
 def derive_params(lam: float) -> PolyParams:
-    """Derive (xi, eta, rho, nu, a) from lam >= 2."""
+    """Derive (xi, eta, rho, nu, a) from a finite lam >= 2."""
     lam = float(lam)
-    if not lam >= 2.0:
-        raise DomainError(f"lambda must be >= 2 (got {lam}); the expanding "
-                          "real-Julia-set regime starts at lambda > 2")
+    if not 2.0 <= lam < math.inf:
+        raise DomainError(f"lambda must be finite and >= 2 (got {lam}); the "
+                          "expanding real-Julia-set regime starts at lambda > 2")
     xi = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * lam))
     eta = math.sqrt(max(lam - xi, 0.0))
     p0 = PolyParams(lam=lam, xi=xi, eta=eta, rho=2.0 * xi, nu=xi - 1.0,
@@ -186,10 +186,12 @@ def greens_value(p: PolyParams, z: complex, tol: float = 1e-12,
     membership; iterates landing within _FIXED_SNAP of the fixed family
     +-xi are therefore snapped to g = 0 directly.
     """
+    v = complex(z)
+    if not cmath.isfinite(v):
+        raise DomainError(f"Green's function needs a finite point, got {z}")
     lam, xi = p.lam, p.xi
     R = p.escape_radius()
     snap = _FIXED_SNAP * xi
-    v = complex(z)
     if abs(v) < 1e-120:
         # g(z) = g(P(z)) / 2 sidesteps the log|z| singularity at the origin
         return 0.5 * greens_value(p, v * v - lam, tol, max_depth)

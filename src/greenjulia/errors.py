@@ -54,6 +54,10 @@ class TargetOutOfRange(ToolkitError):
     """Requested inverse-branch value outside the branch's real range."""
 
 
+class CrossCheckError(ToolkitError):
+    """Two independent routes to the same quantity disagree."""
+
+
 class CapExceeded(ToolkitError):
     """Resource cap hit during cover generation; carries the partial level."""
 

@@ -314,15 +314,17 @@ def invert_F_branch(p: PolyParams, target: float, n: int,
     else:
         w_lo, w_hi = c[2 * n + 2], c[2 * n + 1]
     v_lo, v_hi = fxi(w_lo), fxi(w_hi)
-    v_min, v_max = min(v_lo, v_hi), max(v_lo, v_hi)
-    span = max(abs(v_min), abs(v_max), 1.0)
-    if target > v_max + 1e-9 * span or target < v_min - 1e-9 * span:
+    (v_min, w_min), (v_max, w_max) = sorted(((v_lo, w_lo), (v_hi, w_hi)))
+    # tolerances scale with each endpoint's own value: the critical value at
+    # the other end can be orders of magnitude larger
+    if (target > v_max + 1e-9 * max(abs(v_max), 1.0)
+            or target < v_min - 1e-9 * max(abs(v_min), 1.0)):
         raise TargetOutOfRange(
             f"target {target} outside branch range [{v_min:.6g}, {v_max:.6g}]")
-    if abs(target - v_lo) <= 1e-12 * span:
-        return w_lo
-    if abs(target - v_hi) <= 1e-12 * span:
-        return w_hi
+    if target <= v_min + 1e-12 * max(abs(v_min), 1.0):
+        return w_min
+    if target >= v_max - 1e-12 * max(abs(v_max), 1.0):
+        return w_max
     return _refine_root(p, w_lo, w_hi, lambda w: fxi(w) - target, fprime)
 
 

@@ -118,14 +118,15 @@ def _check_dimension(lam):
 
 
 def _check_cover_measure(lam):
-    from fractions import Fraction
+    # exact kept measure per parent, in integer units of 2^-top
     level = goodset.generate_cover(2, 3)
     parents = goodset.generate_cover(2, 2)
+    top = max(ln for _, ln in level.keep_pairs)
     worst_ok = True
-    for parent in parents.keep:
-        kept = sum((iv.length for iv in level.keep
-                    if iv.index.startswith(parent.index)), Fraction(0))
-        if kept < Fraction(1, 2) * parent.length:
+    for pnum, plen in parents.keep_pairs:
+        kept = sum(1 << (top - ln) for num, ln in level.keep_pairs
+                   if ln >= plen and num >> (ln - plen) == pnum)
+        if 2 * kept < 1 << (top - plen):
             worst_ok = False
     return (0.0 if worst_ok else 1.0), 0.5, "cover keeps half of every parent"
 

@@ -17,8 +17,7 @@ from greenjulia.boettcher import default_heights, log_deriv_jet, trace_ray
 from greenjulia.dynamics import derive_params, iterate_jet
 from greenjulia.errors import DyadicAngleError
 from greenjulia.goodset import (dimension_bound, dimension_word_rate,
-                                generate_cover, membership, refine_once,
-                                shift)
+                                generate_cover, membership, refine_once)
 from greenjulia.poincare import comb_height, landmarks, poincare_jet
 from greenjulia.radvar import radial_variation, pullback_check
 
@@ -173,7 +172,7 @@ def test_criterion_09_good_set_machinery():
             if num and math.gcd(num, den) == 1:
                 ang = DirectionAngle(num, den)
                 if not ang.is_dyadic and membership(ang, N):
-                    assert membership(shift(ang), N)
+                    assert membership(ang.shift(), N)
             checked += 1
     # exact rational cover identities
     for idx in ("0", "1"):
@@ -181,21 +180,26 @@ def test_criterion_09_good_set_machinery():
         assert sum(Fraction(1, 2 ** len(i)) for i in keep) == \
             Fraction(5, 8) * Fraction(1, 2)
         assert all(Fraction(1, 2 ** len(i)) <= Fraction(1, 8) for i in keep)
+    # kept measure per parent in integer units of 2^-top; the parent of
+    # num/2^len is the longest proper prefix num >> (len - plen)
     for N in (2, 3):
         prev = generate_cover(N, 0)
         for k in range(1, 6):
             level = generate_cover(N, k)
-            parents = {iv.index: iv for iv in prev.keep}
-            kept = {i: Fraction(0) for i in parents}
-            for child in level.keep:
-                for cut in range(len(child.index) - 1, 0, -1):
-                    if child.index[:cut] in parents:
-                        kept[child.index[:cut]] += child.length
-                        assert child.length <= \
-                            parents[child.index[:cut]].length / 2 ** N
+            top = max(ln for _, ln in level.keep_pairs)
+            kept = dict.fromkeys(prev.keep_pairs, 0)
+            plens = sorted({plen for _, plen in kept}, reverse=True)
+            for num, ln in level.keep_pairs:
+                for plen in plens:
+                    if plen >= ln:
+                        continue
+                    parent = (num >> (ln - plen), plen)
+                    if parent in kept:
+                        kept[parent] += 1 << (top - ln)
+                        assert ln >= plen + N  # child length <= parent / 2^N
                         break
-            assert all(kept[i] >= Fraction(1, 2) * parents[i].length
-                       for i in parents)
+            assert all(2 * units >= 1 << (top - plen)
+                       for (_, plen), units in kept.items())
             prev = level
     _report(9, "membership/shift invariance; exact cover measures N=2,3 k<=5",
             t0, 10.0)

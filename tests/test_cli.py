@@ -126,6 +126,21 @@ def test_goodset_cover_json(tmp_path, capsys):
         assert entry["log2den"] == len(entry["index"])
 
 
+def test_goodset_writes_the_json_dump_of_the_cover(tmp_path, capsys):
+    from greenjulia.goodset import cover_to_dict, generate_cover
+    want = json.dumps(cover_to_dict(generate_cover(3, 3), 3), indent=2)
+    assert main(["goodset", "--N", "3", "--k", "3"]) == OK
+    assert capsys.readouterr().out == want + "\n"
+    assert main(["goodset", "--N", "3", "--k", "3", "--out",
+                 str(tmp_path)]) == OK
+    assert (tmp_path / "cover_N3_k3.json").read_text() == want
+
+
+def test_params_non_finite_lambda(capsys):
+    assert main(["params", "--lambda", "inf"]) == DOMAIN
+    assert "finite" in capsys.readouterr().err
+
+
 def test_goodset_cap_exit(capsys):
     assert main(["goodset", "--N", "3", "--k", "6", "--cap", "50"]) == CAP
 

@@ -42,6 +42,21 @@ def test_lambda_below_two_rejected():
         derive_params(1.0)
 
 
+@pytest.mark.parametrize("lam", [math.inf, math.nan])
+def test_non_finite_lambda_rejected(lam):
+    # inf used to come back as a bundle with eta = nan
+    with pytest.raises(DomainError, match="finite"):
+        derive_params(lam)
+
+
+@pytest.mark.parametrize("z", [math.nan, complex(0.5, math.nan), math.inf,
+                               complex(1.0, -math.inf)])
+def test_greens_value_rejects_non_finite_points(z):
+    # nan used to read as a point of E0, g = 0
+    with pytest.raises(DomainError, match="finite"):
+        greens_value(derive_params(6.0), z)
+
+
 def test_fixed_point_identities_grid():
     for lam in [2.0] + LAM_GRID:
         p = derive_params(lam)

@@ -5,18 +5,22 @@ spectral radius against exact word counting; frozen targets are the
 golden-ratio and tribonacci logs computed from their minimal polynomials.
 """
 
+import json
 import math
 from fractions import Fraction
+from itertools import groupby
 
 import numpy as np
 import pytest
 
+from greenjulia import goodset
 from greenjulia.angles import DirectionAngle
-from greenjulia.errors import CapExceeded, DyadicAngleError
-from greenjulia.goodset import (admissible_word_count, cover_to_dict,
-                                dimension_bound, dimension_word_rate,
-                                generate_cover, good_set_level, max_run,
-                                membership, refine_once, shift)
+from greenjulia.errors import CapExceeded, CrossCheckError, DyadicAngleError
+from greenjulia.goodset import (admissible_word_count, cover_json,
+                                cover_to_dict, dimension_bound,
+                                dimension_word_rate, generate_cover,
+                                good_set_level, max_run, membership,
+                                refine_once)
 
 
 def _bisect_root(poly, lo, hi):
@@ -66,10 +70,10 @@ def test_membership_scans_across_period_boundary():
 
 
 def test_shift_examples():
-    assert str(shift(DirectionAngle(2, 3))) == "1/3"
-    assert str(shift(DirectionAngle(5, 12))) == "5/6"
+    assert str(DirectionAngle(2, 3).shift()) == "1/3"
+    assert str(DirectionAngle(5, 12).shift()) == "5/6"
     with pytest.raises(DyadicAngleError):
-        shift(DirectionAngle(3, 4))
+        DirectionAngle(3, 4).shift()
 
 
 def test_shift_preserves_membership():
@@ -87,20 +91,50 @@ def test_shift_preserves_membership():
             ang = DirectionAngle(num, den)
             if ang.is_dyadic or not membership(ang, N):
                 continue
-            assert membership(shift(ang), N)
+            assert membership(ang.shift(), N)
             checked += 1
+
+
+def _groupby_max_run(word):
+    return max((len(list(g)) for _, g in groupby(word)), default=0)
+
+
+def test_max_run_matches_groupby():
+    assert max_run("") == 0
+    for length in range(1, 13):
+        for val in range(2 ** length):
+            word = format(val, f"0{length}b")
+            assert max_run(word) == _groupby_max_run(word)
+    assert max_run([1, 1, 0]) == 2
+
+
+def test_angle_runs_match_expansion():
+    # membership and good_set_level read the runs off prefix + two periods
+    # of the exact long-division expansion
+    for q in range(3, 130):
+        for p in range(1, q):
+            ang = DirectionAngle(p, q)
+            if ang.denominator != q or ang.is_dyadic:
+                continue
+            prefix, period = ang.expansion()
+            run = _groupby_max_run(prefix + period + period)
+            assert good_set_level(ang) == max(1, run - 1)
+            for N in (1, 2, 3):
+                assert membership(ang, N) == (run <= N + 1)
 
 
 def test_membership_symmetries():
     # admissibility is invariant under reversal and bit complement
-    for N in (1, 2, 3):
-        for length in range(1, 17):
-            for val in range(2 ** length):
-                word = format(val, f"0{length}b")
-                m = max_run(word) <= N + 1
-                assert (max_run(word[::-1]) <= N + 1) == m
-                comp = word.translate(str.maketrans("01", "10"))
-                assert (max_run(comp) <= N + 1) == m
+    flip = str.maketrans("01", "10")
+    for length in range(1, 17):
+        for val in range(2 ** length):
+            word = format(val, f"0{length}b")
+            run = max_run(word)
+            rev, comp = max_run(word[::-1]), max_run(word.translate(flip))
+            for N in (1, 2, 3):
+                m = run <= N + 1
+                assert (rev <= N + 1) == m
+                assert (comp <= N + 1) == m
 
 
 def test_membership_monotone_in_level():
@@ -139,29 +173,77 @@ def test_refinement_children_shrink():
 
 
 def test_cover_levels_invariants():
+    # exact arithmetic in integer units of 2^-top, top the longest index
     for N in (2, 3):
         prev = generate_cover(N, 0)
         for k in range(1, 6):
             level = generate_cover(N, k)
+            top = max(ln for _, ln in level.keep_pairs)
             # disjoint: sorted left endpoints never overlap
-            ivs = sorted(level.keep, key=lambda iv: iv.left)
-            for a, b in zip(ivs, ivs[1:]):
-                assert a.left + a.length <= b.left
-            # nesting with per-parent retention >= 1/2 (exact arithmetic)
-            parents = {iv.index: iv for iv in prev.keep}
-            kept = {idx: Fraction(0) for idx in parents}
-            for child in level.keep:
-                for cut in range(len(child.index) - 1, 0, -1):
-                    parent = parents.get(child.index[:cut])
-                    if parent is not None:
-                        kept[parent.index] += child.length
-                        assert child.length <= parent.length / 2 ** N
+            ivs = sorted((num << (top - ln), (num + 1) << (top - ln))
+                         for num, ln in level.keep_pairs)
+            for (_, a_end), (b_left, _) in zip(ivs, ivs[1:]):
+                assert a_end <= b_left
+            # nesting with per-parent retention >= 1/2: the parent is the
+            # longest proper prefix, i.e. num >> (len - plen), among them
+            kept = dict.fromkeys(prev.keep_pairs, 0)
+            plens = sorted({plen for _, plen in kept}, reverse=True)
+            for num, ln in level.keep_pairs:
+                for plen in plens:
+                    if plen >= ln:
+                        continue
+                    parent = (num >> (ln - plen), plen)
+                    if parent in kept:
+                        kept[parent] += 1 << (top - ln)
+                        assert ln >= plen + N  # child length <= parent / 2^N
                         break
                 else:
-                    raise AssertionError(f"orphan interval {child.index}")
-            for idx, parent in parents.items():
-                assert kept[idx] >= Fraction(1, 2) * parent.length
+                    raise AssertionError(f"orphan interval {num}/2^{ln}")
+            for (_, plen), units in kept.items():
+                assert 2 * units >= 1 << (top - plen)
             prev = level
+
+
+def _string_cover(N, k):
+    keep, drop = ["0", "1"], []
+    for _ in range(k):
+        children = [refine_once(idx, N) for idx in keep]
+        keep = [c for kp, _ in children for c in kp]
+        drop = [c for _, dp in children for c in dp]
+    return keep, drop
+
+
+@pytest.mark.parametrize("N, k", [(N, k) for N in (2, 3, 4) for k in range(4)]
+                         + [(2, 5)])
+def test_generate_cover_matches_string_recursion(N, k):
+    level = generate_cover(N, k)
+    keep, drop = _string_cover(N, k)
+    assert list(level.keep_pairs) == [(int(w, 2), len(w)) for w in keep]
+    assert list(level.drop_pairs) == [(int(w, 2), len(w)) for w in drop]
+    assert [iv.index for iv in level.keep] == keep
+    assert [iv.index for iv in level.drop] == drop
+
+
+@pytest.mark.parametrize("N, k", [(N, k) for N in (2, 3) for k in range(5)]
+                         + [(4, 2)])
+def test_cover_json_matches_json_dumps(N, k):
+    level = generate_cover(N, k)
+    assert cover_json(level, N) == json.dumps(cover_to_dict(level, N), indent=2)
+
+
+def test_cover_json_of_an_empty_keep():
+    level = goodset.DyadicCoverLevel(0, (), ())
+    assert cover_json(level, 2) == json.dumps(cover_to_dict(level, 2), indent=2)
+
+
+def test_cover_interval_views():
+    level = generate_cover(3, 2)
+    assert level.keep_measure() == sum((iv.length for iv in level.keep),
+                                       Fraction(0))
+    iv = level.keep[5]
+    assert iv.left == Fraction(int(iv.index, 2), 2 ** len(iv.index))
+    assert iv.contains(iv.left) and not iv.contains(iv.left + iv.length)
+    assert level.covers(iv.left + iv.length / 3)
 
 
 def test_cover_contains_low_level_members():
@@ -204,6 +286,16 @@ def test_cover_cap():
     assert err.value.partial is not None
 
 
+def test_cover_cap_boundary_and_partial():
+    # the cap bounds the kept count of a step; the partial is the last
+    # complete level
+    full = generate_cover(2, 4)
+    assert generate_cover(2, 4, cap=len(full.keep_pairs)) == full
+    with pytest.raises(CapExceeded, match="step 4") as err:
+        generate_cover(2, 4, cap=len(full.keep_pairs) - 1)
+    assert err.value.partial == generate_cover(2, 3)
+
+
 def test_cover_json_schema():
     level = generate_cover(2, 3)
     d = cover_to_dict(level, 2)
@@ -211,6 +303,13 @@ def test_cover_json_schema():
     entry = d["keep"][0]
     assert set(entry) == {"num", "log2den", "len_log2den", "index"}
     assert entry["num"] == int(entry["index"], 2)
+
+
+def test_dimension_cross_check_raises_without_assert(monkeypatch):
+    # a typed error, so the check survives python -O
+    monkeypatch.setattr(goodset, "dimension_word_rate", lambda N, length=40: 0.5)
+    with pytest.raises(CrossCheckError, match="word count"):
+        dimension_bound(2)
 
 
 def test_dimension_frozen_values():

@@ -166,6 +166,26 @@ def test_invert_branch_basics():
         invert_F_branch(p, -p.lam - 1.0, 1)
 
 
+@pytest.mark.parametrize("n, side", [(3, "left"), (4, "right")])
+def test_invert_branch_near_the_lambda_end(n, side):
+    # regression: the snap to a branch end was scaled by the critical value
+    # at the other end (~1e5 at lambda 20), so targets within 0.01 of -lambda
+    # came back as the critical point itself
+    p = derive_params(20.0)
+    lms = landmarks(p, 2 * n + 2)
+    for d in (1e-3, 5e-3, 1e-2):
+        target = -p.lam + d
+        w = invert_F_branch(p, target, n, side)
+        f, _ = poincare_jet(p, w)
+        assert abs(f.real + p.xi - target) < 1e-9 * p.lam
+        assert w != lms[2 * n].c
+    # the end value -lambda itself, and rounding beyond it, give that end;
+    # the range tolerance is relative to -lambda too
+    assert invert_F_branch(p, -p.lam * (1 + 1e-10), n, side) == lms[2 * n].c
+    with pytest.raises(TargetOutOfRange):
+        invert_F_branch(p, -p.lam * (1 + 1e-8), n, side)
+
+
 def test_invert_branch_onto_interval():
     # the first inverse branch maps [-lam^2+lam, lam] onto [c_4, c_2]
     p = derive_params(6.0)
