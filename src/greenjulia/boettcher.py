@@ -27,7 +27,8 @@ the upper half-plane:
 
 The phase psi_n and the signs eps_k are exact integer arithmetic, so no
 branch is ever tracked, and the whole schedule is solved at once on
-arrays.  Each pullback contracts, so the points are as accurate as the
+arrays.  The depth n depends on h alone, so trace_rays solves many angles
+over one schedule as one (angles x heights) array.  Each pullback contracts, so the points are as accurate as the
 top solve.  Near E0 the series value of g at a rounded point is
 ill-conditioned, so where it misses pi h the best of the point and its
 one-ulp neighbours is kept, and the height every sample carries is
@@ -73,6 +74,12 @@ class RaySample:
     h: float
     z: complex
     data: LogDerivData
+
+    def head(self, m: int) -> RaySample:
+        """The first m samples of a RaySample of arrays."""
+        d = self.data
+        return RaySample(h=self.h[:m], z=self.z[:m], data=LogDerivData(
+            g=d.g[:m], L=d.L[:m], Lp=d.Lp[:m], depth=d.depth[:m]))
 
 
 @dataclass(frozen=True)
@@ -226,7 +233,11 @@ def angle_double_fold(angle: DirectionAngle) -> tuple[DirectionAngle, bool]:
 def _log_boettcher(lam: float, w, tol: float = 1e-15):
     """log B(w) (principal per-term branches) and B'/B over an array of
     large points; callers guarantee |lam / w^2| well below 1/2 so every
-    Log(1 - lam/w_k^2) stays on the principal branch."""
+    Log(1 - lam/w_k^2) stays on the principal branch.  The stop is shared
+    by the whole array, but the terms decay doubly exponentially: a point
+    whose own terms are already below tol gains from a later stop only
+    terms below half an ulp of its sums, so its digits do not depend on
+    the points summed beside it."""
     v = w
     ell = np.log(v)
     s = 1.0 / v
@@ -263,12 +274,14 @@ def _newton_depth(h, log_r: float):
 
 
 def _series_height_error(lam: float, z: np.ndarray, n: np.ndarray, h: np.ndarray):
-    """g(z)/pi - h at points z of nondecreasing depth n, with g summed as
-    2^-n Re log B(P^n(z)) and P^n iterated as the log-derivative series does."""
+    """g(z)/pi - h at points z of nondecreasing depth n along the last
+    axis, with g summed as 2^-n Re log B(P^n(z)) and P^n iterated as the
+    log-derivative series does."""
     v = z.copy()
     for k in range(int(n.max(initial=0))):
-        start = np.searchsorted(n, k, side="right")
-        v[start:] = v[start:] * v[start:] - lam
+        deeper = v[..., np.searchsorted(n, k, side="right"):]
+        deeper *= deeper
+        deeper -= lam
     ell, _ = _log_boettcher(lam, v)
     return np.ldexp(ell.real, -n) / np.pi - h
 
@@ -278,33 +291,36 @@ def _polish(lam: float, z: np.ndarray, n: np.ndarray, h: np.ndarray):
     contract or more to whichever of it and its eight one-ulp neighbours
     misses least.  Near E0 the series height of a rounded point is
     ill-conditioned, so neighbours within rounding of the same ray point
-    can differ in it by more than the contract."""
-    miss = np.flatnonzero(~(np.abs(_series_height_error(lam, z, n, h)) < _HEIGHT_TOL / 10))
-    if not miss.size:
-        return z
-    re, im = z[miss].real[:, None], z[miss].imag[:, None]
+    can differ in it by more than the contract.  z holds one ray per row."""
+    miss = ~(np.abs(_series_height_error(lam, z, n, h)) < _HEIGHT_TOL / 10)
     a, b = np.repeat([-1.0, 0.0, 1.0], 3), np.tile([-1.0, 0.0, 1.0], 3)
-    cands = (re + a * np.spacing(np.abs(re))) + 1j * (im + b * np.spacing(np.abs(im)))
-    err = np.abs(_series_height_error(lam, cands.ravel(), np.repeat(n[miss], 9),
-                                      np.repeat(h[miss], 9))).reshape(cands.shape)
-    best = np.argmin(np.where(np.isnan(err), np.inf, err), axis=1)
-    z[miss] = cands[np.arange(miss.size), best]
+    for row in np.flatnonzero(miss.any(axis=1)):
+        cols = np.flatnonzero(miss[row])
+        re, im = z[row, cols].real[:, None], z[row, cols].imag[:, None]
+        cands = (re + a * np.spacing(np.abs(re))) + 1j * (im + b * np.spacing(np.abs(im)))
+        err = np.abs(_series_height_error(lam, cands.ravel(), np.repeat(n[cols], 9),
+                                          np.repeat(h[cols], 9))).reshape(cands.shape)
+        best = np.argmin(np.where(np.isnan(err), np.inf, err), axis=1)
+        z[row, cols] = cands[np.arange(cols.size), best]
     return z
 
 
-def _ray_points(p: PolyParams, angle: DirectionAngle, h: np.ndarray,
-                log_r: float, newton_tol: float):
-    """Ray points at the decreasing heights h, and whether each top solve
-    converged: W on the ray of psi_n at height 2^n h from depth 0, pulled
-    back n times through the upper-half-plane square-root branch."""
-    lam, q = p.lam, angle.denominator
+def _ray_points(p: PolyParams, angles, h: np.ndarray, log_r: float,
+                newton_tol: float):
+    """Ray points at the decreasing heights h, one row per angle, and
+    whether each top solve converged: W on the ray of psi_n at height
+    2^n h from depth 0, pulled back n times through the upper-half-plane
+    square-root branch.  The depth n depends on h alone, so every row
+    shares it; the phase psi_n and the pullback signs are per row."""
+    lam = p.lam
     n = _newton_depth(h, log_r)
     depths, which = np.unique(n, return_inverse=True)
-    phase = np.array([(pow(2, int(d), q) * angle.numerator) % q / q for d in depths])
-    target = np.ldexp(np.pi * h, n) + 1j * np.pi * phase[which]
+    phase = np.array([[(pow(2, int(d), a.denominator) * a.numerator) % a.denominator
+                       / a.denominator for d in depths] for a in angles])
+    target = np.ldexp(np.pi * h, n) + 1j * np.pi * phase[:, which]
 
     w = np.exp(target)
-    done = np.zeros(len(h), dtype=bool)
+    done = np.zeros(w.shape, dtype=bool)
     with np.errstate(all="ignore"):
         for _ in range(_NEWTON_STEPS):
             ell, dell = _log_boettcher(lam, w)
@@ -321,23 +337,76 @@ def _ray_points(p: PolyParams, angle: DirectionAngle, h: np.ndarray,
                 break
 
         # n is nondecreasing along the schedule, so the points still being
-        # pulled back at depth k are a suffix of the array
+        # pulled back at depth k are a suffix of every row
         z = w
-        for k in range(int(n.max(initial=0)) - 1, -1, -1):
+        depth = int(n.max(initial=0))
+        signs = np.array([[-1.0 if a.bit(k + 1) else 1.0 for k in range(depth)]
+                          for a in angles])
+        for k in range(depth - 1, -1, -1):
             start = np.searchsorted(n, k, side="right")
-            sign = -1.0 if angle.bit(k + 1) else 1.0
-            root = np.sqrt(sign * z[start:] + lam)
+            root = np.sqrt(signs[:, k:k + 1] * z[:, start:] + lam)
             np.negative(root, out=root, where=root.imag < 0)
-            z[start:] = root
+            z[:, start:] = root
         z = _polish(lam, z, n, h)
     return z, done
 
 
+def _schedule(h_schedule) -> np.ndarray:
+    """The heights as an array; raises unless strictly decreasing and positive."""
+    h = np.array(h_schedule, dtype=float)
+    if not h.size:
+        raise DomainError("empty height schedule")
+    if not (np.all(np.diff(h) < 0) and h[-1] > 0):
+        raise DomainError("height schedule must be strictly decreasing and positive")
+    return h
+
+
+def trace_rays(p: PolyParams, angles, h_schedule, newton_tol: float = 1e-13,
+               series_tol: float = 1e-12) -> list[tuple[RaySample, str | None]]:
+    """External rays of several angles over one schedule of heights.
+
+    Returns, per angle in input order, (sample, reason): a RaySample of
+    arrays over the samples above the row's stop, and why the row stopped
+    early, or None if every height was traced.  A row stops at its first
+    depth-0 solve that misses newton_tol or its first sample that breaks
+    the README contract |g/pi - h| < 1e-9.  Dyadic angles are traced like
+    any other; their slit tips are trace_ray's business.
+    """
+    h = _schedule(h_schedule)
+    angles = list(angles)
+    if not angles:
+        return []
+    log_r = math.log(max(p.escape_radius() ** 2, _MIN_NEWTON_MODULUS))
+    z, converged = _ray_points(p, angles, h, log_r, newton_tol)
+    solved = np.where(converged.all(axis=1), len(h), np.argmin(converged, axis=1))
+    data = log_deriv_jet(p, np.concatenate([zr[:s] for zr, s in zip(z, solved)]),
+                         series_tol)
+    rows = []
+    for zr, s, end in zip(z, solved, np.cumsum(solved)):
+        part = slice(end - s, end)
+        row = RaySample(h=h[:s], z=zr[:s], data=LogDerivData(
+            g=data.g[part], L=data.L[part], Lp=data.Lp[part], depth=data.depth[part]))
+        height_err = np.abs(row.data.g / np.pi - row.h)
+        broken = np.flatnonzero(~(height_err < _HEIGHT_TOL))
+        stop = int(broken[0]) if broken.size else int(s)
+        reason = None
+        if stop == s < len(h):
+            reason = f"depth-0 Newton solve did not reach tolerance at h={h[stop]}"
+        elif stop < s and math.isnan(height_err[stop]):
+            reason = f"no Green's data at h={h[stop]}: the point is on E0 or precritical"
+        elif stop < s:
+            reason = (f"height contract broken at h={h[stop]}: "
+                      f"|g/pi - h| = {height_err[stop]:.3e} >= {_HEIGHT_TOL:g}")
+        rows.append((row.head(stop), reason))
+    return rows
+
+
 def trace_ray(p: PolyParams, angle: DirectionAngle, h_schedule,
               newton_tol: float = 1e-13, series_tol: float = 1e-12,
-              max_backtracks: int = 40, arc_bound: float | None = None,
+              arc_bound: float | None = None,
               tip_margin: float = 1e-3) -> ExternalRay:
-    """External ray at the given angle at every height of the schedule.
+    """External ray at the given angle at every height of the schedule:
+    the one-row case of trace_rays.
 
     Non-dyadic angles run to the smallest scheduled height.  Dyadic angles
     stop at the slit tip a/2^m: scheduled heights at or below the tip are
@@ -348,17 +417,8 @@ def trace_ray(p: PolyParams, angle: DirectionAngle, h_schedule,
     series value misses |g/pi - h| < 1e-9, or whose depth-0 solve misses
     newton_tol, NewtonDivergence is raised with the samples before it as
     `partial`.  arc_bound caps the jump between consecutive points.
-    max_backtracks is accepted for compatibility and unused: the depth-0
-    solve starts inside its Newton basin.
     """
-    heights = [float(h) for h in h_schedule]
-    if not heights:
-        raise DomainError("empty height schedule")
-    if any(h2 >= h1 for h1, h2 in zip(heights, heights[1:])) or heights[-1] <= 0:
-        raise DomainError("height schedule must be strictly decreasing and positive")
-
-    r_big = max(p.escape_radius() ** 2, _MIN_NEWTON_MODULUS)
-    log_r = math.log(r_big)
+    heights = _schedule(h_schedule).tolist()
 
     tip_h = None
     if angle.is_dyadic and p.a > 0:   # degenerate comb: no slits, no tips
@@ -371,35 +431,23 @@ def trace_ray(p: PolyParams, angle: DirectionAngle, h_schedule,
         if not heights or heights[-1] > h_help * (1.0 + 1e-9):
             points.append(h_help)
 
-    h = np.array(points)
-    z, converged = _ray_points(p, angle, h, log_r, newton_tol)
-    stop = int(np.argmin(converged)) if not converged.all() else len(h)
-    data = log_deriv_jet(p, z[:stop], series_tol)
-    height_err = np.abs(data.g / np.pi - h[:stop])
-    broken = np.flatnonzero(~(height_err < _HEIGHT_TOL))
-    if broken.size:
-        stop = int(broken[0])
+    (row, reason), = trace_rays(p, [angle], points, newton_tol, series_tol)
+    z = row.z
     if arc_bound is not None:
-        jumps = np.flatnonzero(np.abs(np.diff(z[:stop])) > arc_bound)
+        jumps = np.flatnonzero(np.abs(np.diff(z)) > arc_bound)
         if jumps.size:
             i = int(jumps[0]) + 1
             raise ScheduleTooCoarse(
                 f"sample jump {abs(z[i] - z[i - 1]):.3e} exceeds arc bound {arc_bound:.3e}")
 
-    kept = min(stop, len(heights))
+    kept = min(len(z), len(heights))
     samples = tuple(
         RaySample(h=hh, z=zz, data=LogDerivData(g=gg, L=ll, Lp=lp, depth=dd))
         for hh, zz, gg, ll, lp, dd in zip(
-            heights[:kept], z[:kept].tolist(), data.g[:kept].tolist(),
-            data.L[:kept].tolist(), data.Lp[:kept].tolist(), data.depth[:kept].tolist()))
-    if stop < len(h):
-        if stop == len(height_err):
-            reason = f"depth-0 Newton solve did not reach tolerance at h={h[stop]}"
-        elif math.isnan(height_err[stop]):
-            reason = f"no Green's data at h={h[stop]}: the point is on E0 or precritical"
-        else:
-            reason = (f"height contract broken at h={h[stop]}: "
-                      f"|g/pi - h| = {height_err[stop]:.3e} >= {_HEIGHT_TOL:g}")
+            heights[:kept], z[:kept].tolist(), row.data.g[:kept].tolist(),
+            row.data.L[:kept].tolist(), row.data.Lp[:kept].tolist(),
+            row.data.depth[:kept].tolist()))
+    if reason is not None:
         raise NewtonDivergence(
             reason, last_sample=samples[-1] if samples else None,
             partial=ExternalRay(angle=angle, samples=samples, termination="hmin"))

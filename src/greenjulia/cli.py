@@ -1,9 +1,10 @@
 """Command-line front end: parameter reports, ray/comb dumps, good-set
 generation, radial-variation batches, verification suites and SVG plots.
 
-Exit codes: 0 ok, 2 domain error, 3 dyadic-tip info, 4 resource cap,
-5 partial result (a ray that broke off: the samples before the break are
-written), 64 usage error.
+Exit codes: 0 ok, 1 a verify suite failed, 2 domain error, 3 dyadic-tip
+info, 4 resource cap, 5 partial result (a ray that broke off: the samples
+before the break are written), 6 numerical failure (a toolkit check
+failed), 64 usage error.
 """
 
 from __future__ import annotations
@@ -22,10 +23,12 @@ from .dynamics import derive_params
 from .errors import CapExceeded, DomainError, NewtonDivergence, ToolkitError
 
 EXIT_OK = 0
+EXIT_VERIFY_FAILED = 1
 EXIT_DOMAIN = 2
 EXIT_TIP = 3
 EXIT_CAP = 4
 EXIT_PARTIAL = 5
+EXIT_NUMERIC = 6
 EXIT_USAGE = 64
 
 _KNOWN_TOLS = {"greens": 1e-12, "newton": 1e-13, "poincare": 1e-12,
@@ -247,18 +250,12 @@ def cmd_radvar(args) -> int:
     angles = [DirectionAngle.parse(s) for s in args.psi]
     quad = radvar.QuadSettings(tol_rel=cfg.tolerances["quad"])
 
-    def one(angle):
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                rep = radvar.radial_variation(p, angle, args.nmax, quad=quad)
-            return radvar.DirectionRow(angle=angle, report=rep, error=None)
-        except ToolkitError as exc:
-            return radvar.DirectionRow(angle=angle, report=None,
-                                       error=f"{type(exc).__name__}: {exc}")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        rows = radvar.direction_rows(p, angles, args.nmax, quad=quad)
 
     index = []
-    for row in map(one, angles):
+    for row in rows:
         name = f"radvar_{row.angle.numerator}_{row.angle.denominator}"
         if row.report is None:
             index.append({"psi": str(row.angle), "status": row.error})
@@ -290,7 +287,7 @@ def cmd_verify(args) -> int:
             ok &= verify.run(suite, lam=cfg.lam)
         except KeyError as exc:
             return _usage_error(str(exc))
-    return EXIT_OK if ok else 1
+    return EXIT_OK if ok else EXIT_VERIFY_FAILED
 
 
 def build_parser() -> _Parser:
@@ -370,6 +367,10 @@ def main(argv=None) -> int:
     except CapExceeded as exc:
         print(f"greenjulia: {exc}", file=sys.stderr)
         return EXIT_CAP
+    except ToolkitError as exc:
+        print(f"greenjulia: numerical failure: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
+        return EXIT_NUMERIC
 
 
 if __name__ == "__main__":

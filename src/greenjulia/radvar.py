@@ -25,7 +25,7 @@ import warnings
 from dataclasses import dataclass
 
 from .angles import DirectionAngle
-from .boettcher import ray_integrand, stack_samples, trace_ray
+from .boettcher import ray_integrand, trace_ray, trace_rays
 from .dynamics import PolyParams
 from .errors import (AmbiguousBranch, DomainError, DyadicAngleError,
                      NewtonDivergence, ToolkitError)
@@ -69,12 +69,16 @@ def _simpson(vals, dt):
     return float(acc * dt / 3.0)
 
 
-def _scale_from_samples(p, samples, n, h_hi):
-    """Simpson value of one scale from its K+1 geometric ray samples."""
-    k = len(samples) - 1
-    batch = stack_samples(samples)
-    # integrate in t with h = h_hi 2^{-t}: dh = -ln2 h dt
-    vals = ray_integrand(p, batch) * batch.h * math.log(2.0)
+def _weighted_density(p, row):
+    """The integrand in t, h = h_hi 2^{-t}, at a RaySample of arrays:
+    dh = -ln2 h dt."""
+    return ray_integrand(p, row) * row.h * math.log(2.0)
+
+
+def _scale(vals, n, h_hi):
+    """Simpson value of one scale from its weighted density at K+1
+    geometric ray samples."""
+    k = len(vals) - 1
     fine = _simpson(vals, 1.0 / k)
     coarse = _simpson(vals[::2], 2.0 / k)
     return ScaleContribution(n=n, h_lo=h_hi / 2.0, h_hi=h_hi, s_n=fine,
@@ -89,7 +93,7 @@ def check_comb(p: PolyParams):
                           f"gives a = {p.a}")
 
 
-def _check_angle(p, angle):
+def _check_angle(p, angle, stacklevel=3):
     check_comb(p)
     if angle.is_dyadic:
         raise DyadicAngleError(
@@ -97,7 +101,7 @@ def _check_angle(p, angle):
     if not p.theorem_range:
         warnings.warn(
             f"lambda = {p.lam} is outside the expanding-decay range (> 2+sqrt(2)); "
-            "decay of the scale contributions is not guaranteed", stacklevel=3)
+            "decay of the scale contributions is not guaranteed", stacklevel=stacklevel)
 
 
 def scale_contribution(p: PolyParams, angle: DirectionAngle, n: int,
@@ -111,8 +115,10 @@ def scale_contribution(p: PolyParams, angle: DirectionAngle, n: int,
     prev = None
     for _ in range(quad.max_refine + 1):
         heights = [h_hi * 2.0 ** (-j / k) for j in range(k + 1)]
-        ray = trace_ray(p, angle, heights)
-        cur = _scale_from_samples(p, ray.samples, n, h_hi)
+        (row, reason), = trace_rays(p, [angle], heights)
+        if reason is not None:
+            raise NewtonDivergence(reason)
+        cur = _scale(_weighted_density(p, row), n, h_hi)
         if prev is not None and abs(cur.s_n - prev.s_n) <= \
                 max(quad.tol_abs, quad.tol_rel * abs(cur.s_n)):
             return cur
@@ -131,29 +137,52 @@ def radial_variation(p: PolyParams, angle: DirectionAngle, n_max: int,
     below tol * total (individual ratios of period-q angles oscillate
     with the shift orbit, so they are fitted, not tested one by one).
     On ray failure at deep scales the completed scales are reported with
-    partial=True.
+    partial=True.  The batch of one of direction_rows.
     """
-    _check_angle(p, angle)
-    if n_max < 0:
-        raise DomainError("n_max must be >= 0")
+    (rep,) = _reports(p, [angle], n_max, tol, quad)
+    if isinstance(rep, ToolkitError):
+        raise rep
+    return rep
+
+
+def _reports(p, angles, n_max, tol, quad) -> list:
+    """Per angle, in input order, its RadVarReport or the ToolkitError
+    that stopped it; every direction is traced in one trace_rays call."""
+    out = []
+    for angle in angles:
+        try:
+            _check_angle(p, angle, stacklevel=4)
+            if n_max < 0:
+                raise DomainError("n_max must be >= 0")
+            out.append(None)
+        except ToolkitError as exc:
+            out.append(exc)
+    todo = [i for i, rep in enumerate(out) if rep is None]
+    if not todo:
+        return out
     k = quad.points_per_scale
     heights = [p.a * 2.0 ** (-i / k) for i in range(k * (n_max + 1) + 1)]
-    partial = False
-    try:
-        ray = trace_ray(p, angle, heights)
-        samples = ray.samples
-    except NewtonDivergence as exc:
-        if exc.partial is None or not exc.partial.samples:
-            raise
-        samples = exc.partial.samples
-        partial = True
+    for i, (row, reason) in zip(todo, trace_rays(p, [angles[i] for i in todo], heights)):
+        try:
+            out[i] = _report(p, angles[i], row, reason, n_max, tol, k)
+        except ToolkitError as exc:
+            out[i] = exc
+    return out
 
+
+def _report(p, angle, row, reason, n_max, tol, k) -> RadVarReport:
+    """The report of one traced row; a row that stopped early gives the
+    scales it completed, with partial=True."""
+    if reason is not None and not len(row.h):
+        raise NewtonDivergence(reason)
     scales = []
-    n_full = (len(samples) - 1) // k
-    for n in range(min(n_max + 1, n_full)):
-        chunk = samples[n * k:(n + 1) * k + 1]
-        scales.append(_scale_from_samples(p, chunk, n, p.a / 2.0 ** n))
+    n_full = min(n_max + 1, (len(row.h) - 1) // k)
+    if n_full:
+        vals = _weighted_density(p, row.head(n_full * k + 1))
+        scales = [_scale(vals[n * k:(n + 1) * k + 1], n, p.a / 2.0 ** n)
+                  for n in range(n_full)]
 
+    partial = reason is not None
     total = sum(s.s_n for s in scales)
     ratios = [b.s_n / a.s_n for a, b in zip(scales, scales[1:]) if a.s_n > 0]
     last = ratios[-5:]
@@ -219,19 +248,25 @@ class DirectionRow:
     error: str | None
 
 
+def direction_rows(p: PolyParams, angles, n_max: int, tol: float = 1e-3,
+                   quad: QuadSettings = QuadSettings()) -> list[DirectionRow]:
+    """radial_variation of every angle, in input order, from one batched
+    ray trace; a direction that fails gets its error as a row of its own."""
+    angles = list(angles)
+    return [DirectionRow(angle=ang, report=rep, error=None)
+            if not isinstance(rep, ToolkitError) else
+            DirectionRow(angle=ang, report=None, error=f"{type(rep).__name__}: {rep}")
+            for ang, rep in zip(angles, _reports(p, angles, n_max, tol, quad))]
+
+
 def compare_directions(p: PolyParams, angles, n_max: int,
                        quad: QuadSettings = QuadSettings()) -> list[DirectionRow]:
-    """Batch of reports over a shared schedule; per-row error capture."""
-    ok, bad = [], []
-    for ang in angles:
-        try:
-            rep = radial_variation(p, ang, n_max, quad=quad)
-            ok.append(DirectionRow(angle=ang, report=rep, error=None))
-        except ToolkitError as exc:
-            bad.append(DirectionRow(angle=ang, report=None,
-                                    error=f"{type(exc).__name__}: {exc}"))
-    ok.sort(key=lambda row: row.report.total)
-    return ok + bad
+    """Batch of reports over a shared schedule, sorted by total; failed
+    directions follow in input order."""
+    rows = direction_rows(p, angles, n_max, quad=quad)
+    ok = sorted((row for row in rows if row.report is not None),
+                key=lambda row: row.report.total)
+    return ok + [row for row in rows if row.report is None]
 
 
 def report_to_dict(report: RadVarReport) -> dict:

@@ -20,7 +20,7 @@ from greenjulia.angles import DirectionAngle
 from greenjulia.boettcher import (angle_double_fold, compute_a,
                                   default_heights, log_deriv_jet,
                                   ray_csv_rows, ray_integrand, stack_samples,
-                                  trace_ray)
+                                  trace_ray, trace_rays)
 from greenjulia.dynamics import derive_params, greens_value, julia_cover
 from greenjulia.errors import (DyadicAngleError, NewtonDivergence,
                                NonEscapingError, ScheduleTooCoarse)
@@ -71,6 +71,20 @@ def test_log_deriv_doubling_identity():
     d = log_deriv_jet(p, z)
     dP = log_deriv_jet(p, z * z - 6.0)
     assert abs(dP.L * (2 * z) - 2 * d.L) < 1e-10
+
+
+@settings(max_examples=200, deadline=None)
+@given(lam=st.floats(2.0 + math.sqrt(2.0), 1e8, exclude_min=True),
+       t=st.floats(1e-3, 10.0), theta=st.floats(0.0, 2.0 * math.pi))
+def test_doubling_identity_property(lam, t, theta):
+    # g(P(z)) = 2 g(z) and L(P(z)) P'(z) = 2 L(z) off the Julia set, over
+    # the whole theorem range of lambda (measured worst: 1.4e-14 at 1e8)
+    p = derive_params(lam)
+    z = p.xi * (1.0 + t) * cmath.exp(1j * theta)
+    d = log_deriv_jet(p, z)
+    dP = log_deriv_jet(p, z * z - lam)
+    assert abs(dP.g - 2.0 * d.g) <= 1e-12 * abs(2.0 * d.g)
+    assert abs(dP.L * 2.0 * z - 2.0 * d.L) <= 1e-12 * abs(2.0 * d.L)
 
 
 def test_boettcher_identities_random():
@@ -331,6 +345,25 @@ def test_ray_chebyshev_closed_form_deep():
         for s in ray.samples:
             exact = 2.0 * cmath.cosh(complex(math.pi * s.h, math.pi * ang.value))
             assert abs(s.z - exact) <= 1e-12 * abs(exact)
+
+
+@pytest.mark.parametrize("lam", [3.6, 20.0])
+def test_trace_rays_rows_are_single_rays(lam):
+    # each row of the batch is trace_ray of its angle alone, bit for bit,
+    # down to 24 scales where rows at lambda 20 break off at different depths
+    p = derive_params(lam)
+    hs = default_heights(p, 24, 32)
+    angles = [DirectionAngle(*pq) for pq in ((2, 3), (3, 7), (5, 11), (11, 31),
+                                             (1234, 4001), (20, 63))]
+    for ang, (row, reason) in zip(angles, trace_rays(p, angles, hs)):
+        try:
+            ray, msg = trace_ray(p, ang, hs), None
+        except NewtonDivergence as exc:
+            ray, msg = exc.partial, str(exc)
+        assert reason == msg
+        assert [s.z for s in ray.samples] == row.z.tolist()
+        assert [s.data.L for s in ray.samples] == row.data.L.tolist()
+        assert [s.data.g for s in ray.samples] == row.data.g.tolist()
 
 
 def _rays_or_partial(p, ang, hs):

@@ -8,7 +8,7 @@ import xml.etree.ElementTree as ET
 from greenjulia.cli import main
 
 # exit codes are part of the interface contract
-OK, DOMAIN, TIP, CAP, PARTIAL, USAGE = 0, 2, 3, 4, 5, 64
+OK, VERIFY_FAILED, DOMAIN, TIP, CAP, PARTIAL, NUMERIC, USAGE = 0, 1, 2, 3, 4, 5, 6, 64
 
 
 def test_params_json(capsys):
@@ -175,6 +175,26 @@ def test_radvar_error_row_isolated(tmp_path, capsys):
     assert index["2/3"]["status"] == "ok"
 
 
+def test_radvar_batch_prints_the_bytes_of_single_runs(capsys):
+    # several --psi print each direction's report as its own run would, in
+    # input order, then one index of all rows; lambda 20 gives partial rows
+    psis = ["2/3", "1/2", "1234/4001", "2767/4001", "3/7", "4/7", "100/999"]
+    reports, index = [], []
+    for psi in psis:
+        assert main(["radvar", "--lambda", "20", "--psi", psi, "--nmax", "12"]) == OK
+        out = capsys.readouterr().out
+        head, sep, tail = out.rpartition("\n[\n")
+        reports.append(head + "\n" if sep else "")
+        index += json.loads(sep.strip() + tail if sep else out)
+    argv = ["radvar", "--lambda", "20", "--nmax", "12"]
+    for psi in psis:
+        argv += ["--psi", psi]
+    assert main(argv) == OK
+    out = capsys.readouterr().out
+    assert out == "".join(reports) + json.dumps(index, indent=2) + "\n"
+    assert any(json.loads(r)["partial"] for r in reports if r)
+
+
 def test_radvar_lambda_2_is_a_domain_error(tmp_path, capsys):
     # a = 0 at lambda = 2 leaves no heights to integrate over
     assert main(["radvar", "--lambda", "2", "--psi", "2/3", "--nmax", "4",
@@ -198,6 +218,17 @@ def test_verify_suite(capsys):
     assert main(["verify", "params"]) == OK
     out = capsys.readouterr().out
     assert "[ok]" in out and "FAIL" not in out
+
+
+def test_numerical_failure_exit_code(capsys, monkeypatch):
+    # at lambda = 1e8 the landmark brackets fail: a documented exit code
+    # and a one-line message, not a traceback
+    assert main(["poincare", "--lambda", "1e8", "--kmax", "16"]) == NUMERIC
+    err = capsys.readouterr().err
+    assert "numerical failure: BracketFailure" in err and "Traceback" not in err
+    from greenjulia import verify
+    monkeypatch.setattr(verify, "run", lambda suite, lam: False)
+    assert main(["verify", "params"]) == VERIFY_FAILED
 
 
 def test_verify_unknown_suite(capsys):

@@ -1,16 +1,20 @@
 """Radial-variation scales: decay, symmetry, pullback, batching."""
 
+import json
 import math
+import random
 import warnings
 
 import pytest
 
+from greenjulia import boettcher
 from greenjulia.angles import DirectionAngle
 from greenjulia.dynamics import derive_params
-from greenjulia.errors import DomainError, DyadicAngleError
+from greenjulia.errors import DomainError, DyadicAngleError, ToolkitError
 from greenjulia.radvar import (QuadSettings, compare_directions,
-                               pullback_check, radial_variation,
-                               report_to_dict, scale_contribution)
+                               direction_rows, pullback_check,
+                               radial_variation, report_to_dict,
+                               scale_contribution)
 
 P6 = derive_params(6.0)
 PSI = DirectionAngle(2, 3)
@@ -193,3 +197,75 @@ def test_quadrature_doubling_changes_total_little():
     rep1 = radial_variation(P6, PSI, 8, quad=QuadSettings(points_per_scale=16))
     rep2 = radial_variation(P6, PSI, 8, quad=QuadSettings(points_per_scale=32))
     assert abs(rep1.total - rep2.total) < 1e-3 * rep2.total
+
+
+def _seeded_angles(seed, count, max_den=4095):
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        q = rng.randint(3, max_den)
+        ang = DirectionAngle(rng.randint(1, q - 1), q)
+        if not ang.is_dyadic and ang not in out:
+            out.append(ang)
+    return out + [a.complement() for a in out]
+
+
+def _alone(p, angle, n_max):
+    """The row radial_variation gives for one direction: its report as
+    JSON text (NaN-safe to compare) or its error string."""
+    try:
+        return json.dumps(report_to_dict(radial_variation(p, angle, n_max))), None
+    except ToolkitError as exc:
+        return None, f"{type(exc).__name__}: {exc}"
+
+
+def _assert_rows_match_single_directions(p, angles, n_max):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        rows = direction_rows(p, angles, n_max)
+        alone = [_alone(p, ang, n_max) for ang in angles]
+    assert [row.angle for row in rows] == angles
+    for row, (text, error) in zip(rows, alone):
+        got = json.dumps(report_to_dict(row.report)) if row.report else None
+        assert (got, row.error) == (text, error), str(row.angle)
+    return rows
+
+
+@pytest.mark.parametrize("lam", [3.6, 6.0, 20.0, 100.0])
+def test_direction_rows_match_single_directions(lam):
+    # every row of the batched trace is the report of its direction alone,
+    # digit for digit, whether it is complete, partial or an error
+    p = derive_params(lam)
+    angles = _seeded_angles(int(lam * 10), 6) + [DirectionAngle(1, 2)]
+    rows = _assert_rows_match_single_directions(p, angles, 12)
+    assert "DyadicAngleError" in rows[-1].error
+    partial = [row for row in rows if row.report and row.report.partial]
+    assert bool(partial) == (lam >= 20)
+
+
+def test_direction_rows_keep_singular_rows():
+    # at lambda = 1e16 |L| at the top of the comb is below the singular
+    # threshold: each row fails on its own with the single-direction error
+    rows = _assert_rows_match_single_directions(
+        derive_params(1e16), [DirectionAngle(2, 3), DirectionAngle(3, 7)], 2)
+    assert all(row.error.startswith("SingularSampleError") for row in rows)
+
+
+def test_direction_rows_keep_rows_that_break_at_the_first_sample(monkeypatch):
+    # the top of the comb is well conditioned, so no supported input breaks
+    # the contract at the first sample; a contract tightened to 1e-16 does
+    # for some directions and not for others in the same batch
+    monkeypatch.setattr(boettcher, "_HEIGHT_TOL", 1e-16)
+    angles = [DirectionAngle(2, 3), DirectionAngle(2, 5), DirectionAngle(1, 7),
+              DirectionAngle(3, 7), DirectionAngle(1, 4)]
+    rows = _assert_rows_match_single_directions(derive_params(6.0), angles, 1)
+    broken = [row for row in rows if row.error and "height contract" in row.error]
+    assert broken and any(row.report for row in rows)
+
+
+def test_compare_directions_is_the_sorted_batch():
+    angles = _seeded_angles(5, 4) + [DirectionAngle(1, 2)]
+    p = derive_params(20.0)
+    rows = direction_rows(p, angles, 8)
+    ok = sorted((r for r in rows if r.report), key=lambda r: r.report.total)
+    assert compare_directions(p, angles, 8) == ok + [r for r in rows if not r.report]
